@@ -15,6 +15,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace =="
 cargo test --workspace --quiet
 
+echo "== benchmark: flexbench build + tests =="
+# flexbench is a workspace of its own, so the workspace build above never
+# compiles it. Build and test it here so an API change in sim or secmon
+# cannot break the benchmark silently.
+cargo test --release --offline --manifest-path flexbench/Cargo.toml
+
 echo "== observability smoke: fprun --metrics schema =="
 # Build one protected workload end-to-end through the CLI, run it with
 # metrics emission and check the document parses with its stable schema

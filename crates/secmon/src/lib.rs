@@ -16,6 +16,8 @@
 //! * [`schedule`] — [`SecMonConfig`], the configuration the protection
 //!   toolchain provisions into the hardware (keys, guard sites, encrypted
 //!   regions, spacing bound);
+//! * [`action`] — [`ActionTable`], the schedule compiled to one flag
+//!   byte per text word when the monitor is armed;
 //! * [`monitor`] — [`SecMon`], the runtime model implementing
 //!   [`flexprot_sim::FetchMonitor`].
 //!
@@ -23,6 +25,7 @@
 //! that is the software half of the codesign and lives in `flexprot-core`.
 //! Keeping the split mirrors the hardware/software boundary of the paper.
 
+pub mod action;
 pub mod cipher;
 pub mod decrypt;
 pub mod guard;
@@ -30,6 +33,7 @@ pub mod monitor;
 pub mod schedule;
 pub mod serialize;
 
+pub use action::{ActionTable, Actions};
 pub use cipher::{derive_subkey, keystream, EncRegion, RegionTable};
 pub use decrypt::DecryptModel;
 pub use guard::{decode_guard_symbol, encode_guard_inst, WindowHasher, SIG_SYMBOLS};

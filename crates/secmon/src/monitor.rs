@@ -13,20 +13,37 @@
 //!   inside protected ranges, defeating guard stripping;
 //! * fetched words passing through the monitor are decrypted per the region
 //!   table, with latency charged on I-cache fills.
+//!
+//! The schedule is not consulted per commit: when the machine arms the
+//! monitor with its text segment, the configuration is compiled into an
+//! [`ActionTable`], and each committed pc costs one indexed load.
+
+use std::ops::Range;
 
 use flexprot_sim::{FetchMonitor, TamperEvent};
 use flexprot_trace::{SharedSink, TraceEvent};
 
+use crate::action::ActionTable;
 use crate::guard::{decode_guard_symbol, signature_from_symbols, WindowHasher};
 use crate::schedule::SecMonConfig;
 
-#[derive(Debug, Clone)]
+/// An in-progress guard collection. Only the first four symbols form the
+/// signature; later ones (a site with more than four guard words) are
+/// validated and counted but not kept.
+#[derive(Debug, Clone, Copy)]
 struct Collect {
     site: u32,
-    symbols: Vec<u8>,
+    symbols: [u8; 4],
+    seen: u32,
     total: u32,
     tail_remaining: u32,
     next_pc: u32,
+}
+
+impl Collect {
+    fn signature(&self) -> u32 {
+        signature_from_symbols(&self.symbols[..self.seen.min(4) as usize])
+    }
 }
 
 /// The secure monitor: plugs into [`flexprot_sim::Machine::with_monitor`].
@@ -39,6 +56,7 @@ struct Collect {
 ///
 /// let image = flexprot_asm::assemble("main: li $v0, 10\n syscall\n")?;
 /// let monitor = SecMon::new(SecMonConfig::transparent());
+/// // The machine arms the monitor with the text segment before running.
 /// let result = Machine::with_monitor(&image, SimConfig::default(), monitor).run();
 /// assert_eq!(result.outcome, Outcome::Exit(0));
 /// # Ok::<(), flexprot_asm::AsmError>(())
@@ -46,6 +64,7 @@ struct Collect {
 #[derive(Debug, Clone)]
 pub struct SecMon {
     config: SecMonConfig,
+    actions: ActionTable,
     hasher: WindowHasher,
     collecting: Option<Collect>,
     spacing: u64,
@@ -55,11 +74,15 @@ pub struct SecMon {
 }
 
 impl SecMon {
-    /// Creates a monitor provisioned with `config`.
+    /// Creates a monitor provisioned with `config`. A machine arms it with
+    /// its text segment before the first commit; a monitor driven by hand
+    /// must be armed the same way ([`FetchMonitor::arm`]), or it sees no
+    /// window starts, guard sites, reset points or protected ranges.
     pub fn new(config: SecMonConfig) -> SecMon {
         let hasher = WindowHasher::new(config.guard_key);
         SecMon {
             config,
+            actions: ActionTable::default(),
             hasher,
             collecting: None,
             spacing: 0,
@@ -88,6 +111,12 @@ impl SecMon {
         &self.config
     }
 
+    /// The schedule as compiled at the last [`FetchMonitor::arm`]; empty
+    /// before the monitor is armed.
+    pub fn actions(&self) -> &ActionTable {
+        &self.actions
+    }
+
     /// Number of guard checks that passed.
     pub fn checks_passed(&self) -> u64 {
         self.checks_passed
@@ -111,7 +140,7 @@ impl SecMon {
     /// Compares the embedded signature against the stream hash once a
     /// guard's symbols (and tail words) have all been observed.
     fn finish_check(&mut self, pc: u32, col: &Collect) -> Option<TamperEvent> {
-        let claimed = signature_from_symbols(&col.symbols);
+        let claimed = col.signature();
         let computed = self.hasher.digest();
         if claimed != computed {
             self.emit(TraceEvent::GuardFail { site: col.site, pc });
@@ -134,7 +163,7 @@ impl SecMon {
     /// Advances an in-progress guard collection by one committed word.
     fn advance_collect(&mut self, mut col: Collect, pc: u32, word: u32) -> Option<TamperEvent> {
         col.next_pc = pc.wrapping_add(4);
-        if (col.symbols.len() as u32) < col.total {
+        if col.seen < col.total {
             // Symbol phase: guard words carry the signature and are NOT
             // hashed themselves — so their shape must be validated, or an
             // attacker could mutate the non-symbol fields freely.
@@ -146,13 +175,16 @@ impl SecMon {
                     format!("malformed guard instruction at site {site:#010x}"),
                 );
             }
-            col.symbols.push(decode_guard_symbol(word));
-        } else {
+            if let Some(slot) = col.symbols.get_mut(col.seen as usize) {
+                *slot = decode_guard_symbol(word);
+            }
+            col.seen += 1;
+        } else if col.tail_remaining > 0 {
             // Tail phase: post-guard words (the terminator) are hashed.
             self.hasher.absorb(pc, word);
             col.tail_remaining -= 1;
         }
-        if col.symbols.len() as u32 == col.total && col.tail_remaining == 0 {
+        if col.seen == col.total && col.tail_remaining == 0 {
             self.finish_check(pc, &col)
         } else {
             self.collecting = Some(col);
@@ -175,33 +207,37 @@ impl SecMon {
             return self.advance_collect(col, pc, word);
         }
 
+        let actions = self.actions.get(pc);
         if !sequential {
             self.hasher.reset();
-            if self.config.reset_points.contains(&pc) {
+            if actions.reset_point() {
                 self.spacing = 0;
             }
-            if self.config.window_starts.contains(&pc) {
+            if actions.window_start() {
                 self.emit(TraceEvent::WindowOpen { pc });
             }
-        } else if self.config.window_starts.contains(&pc) {
+        } else if actions.window_start() {
             self.hasher.reset();
             self.emit(TraceEvent::WindowOpen { pc });
         }
-        if let Some(site) = self.config.sites.get(&pc).copied() {
-            self.emit(TraceEvent::WindowClose { site: pc });
-            let col = Collect {
-                site: pc,
-                symbols: Vec::with_capacity(site.symbols as usize),
-                total: site.symbols,
-                tail_remaining: site.tail,
-                next_pc: pc,
-            };
-            return self.advance_collect(col, pc, word);
+        if actions.site() {
+            if let Some(site) = self.actions.site(pc) {
+                self.emit(TraceEvent::WindowClose { site: pc });
+                let col = Collect {
+                    site: pc,
+                    symbols: [0; 4],
+                    seen: 0,
+                    total: site.symbols,
+                    tail_remaining: site.tail,
+                    next_pc: pc,
+                };
+                return self.advance_collect(col, pc, word);
+            }
         }
 
         self.hasher.absorb(pc, word);
-        if let Some(bound) = self.config.spacing_bound {
-            if self.config.in_protected(pc) {
+        if actions.protected() {
+            if let Some(bound) = self.config.spacing_bound {
                 self.spacing += 1;
                 self.emit(TraceEvent::SpacingTick {
                     pc,
@@ -221,6 +257,10 @@ impl SecMon {
 }
 
 impl FetchMonitor for SecMon {
+    fn arm(&mut self, text: Range<u32>) {
+        self.actions = ActionTable::compile(&self.config, text);
+    }
+
     fn transform_fetch(&mut self, addr: u32, word: u32) -> u32 {
         self.config.regions.apply(addr, word)
     }
@@ -251,6 +291,15 @@ impl FetchMonitor for SecMon {
     fn observe_commit(&mut self, pc: u32, word: u32, sequential: bool) -> Option<TamperEvent> {
         self.observe(pc, word, sequential)
     }
+}
+
+/// A monitor armed with a 64 KiB text segment at the default text base,
+/// as a machine would arm it.
+#[cfg(test)]
+fn armed(config: SecMonConfig) -> SecMon {
+    let mut mon = SecMon::new(config);
+    mon.arm(0x0040_0000..0x0041_0000);
+    mon
 }
 
 #[cfg(test)]
@@ -304,7 +353,7 @@ mod tests {
     #[test]
     fn correct_guard_passes() {
         let (config, stream) = guarded_stream(&[0x1111_2222, 0x3333_4444, 0x5555_6666]);
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         assert_eq!(feed(&mut mon, &stream), None);
         assert_eq!(mon.checks_passed(), 1);
         assert!(mon.tamper_log().is_empty());
@@ -314,7 +363,7 @@ mod tests {
     fn tampered_window_word_is_detected() {
         let (config, mut stream) = guarded_stream(&[0x1111_2222, 0x3333_4444, 0x5555_6666]);
         stream[1].1 ^= 1 << 13;
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         let event = feed(&mut mon, &stream).expect("must detect");
         assert!(event.reason.contains("signature mismatch"), "{event}");
         assert_eq!(mon.checks_passed(), 0);
@@ -326,7 +375,7 @@ mod tests {
         let last = stream.len() - 1;
         // Replace the final guard instruction with a different symbol.
         stream[last].1 = encode_guard_inst(0x5A, 1).encode();
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         let event = feed(&mut mon, &stream).expect("must detect");
         assert!(event.reason.contains("signature mismatch"), "{event}");
     }
@@ -338,7 +387,7 @@ mod tests {
         let cut = stream.len() - 2;
         let mut truncated = stream[..cut].to_vec();
         truncated.push((BASE + 0x100, 0, false));
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         let event = feed(&mut mon, &truncated).expect("must detect");
         assert!(event.reason.contains("interrupted"), "{event}");
     }
@@ -346,7 +395,7 @@ mod tests {
     #[test]
     fn reentry_passes_check_twice() {
         let (config, stream) = guarded_stream(&[0xBBBB_0001, 0xBBBB_0002, 0xBBBB_0003]);
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         assert_eq!(feed(&mut mon, &stream), None);
         // Second execution of the same window (e.g. a loop) — entered by a
         // taken branch (non-sequential first word).
@@ -360,7 +409,7 @@ mod tests {
         // Pretend the word before BASE fell through into the window:
         // window_start must reset the hash, so the prefix must not matter.
         stream[0].2 = true; // sequential entry into window start
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         mon.observe_commit(BASE - 4, 0x7777_7777, false);
         assert_eq!(feed(&mut mon, &stream), None);
         assert_eq!(mon.checks_passed(), 1);
@@ -370,7 +419,7 @@ mod tests {
     fn sink_observes_window_and_check_events() {
         let (config, stream) = guarded_stream(&[0x1111_2222, 0x3333_4444, 0x5555_6666]);
         let (sink, recorder) = flexprot_trace::Recorder::new().shared();
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         mon.attach_sink(sink);
         assert_eq!(feed(&mut mon, &stream), None);
         let recorder = recorder.borrow();
@@ -387,7 +436,7 @@ mod tests {
         let (config, mut stream) = guarded_stream(&[0x1111_2222, 0x3333_4444]);
         stream[0].1 ^= 1 << 9;
         let (sink, recorder) = flexprot_trace::Recorder::new().shared();
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         mon.attach_sink(sink);
         assert!(feed(&mut mon, &stream).is_some());
         let recorder = recorder.borrow();
@@ -415,7 +464,7 @@ mod tests {
             ..SecMonConfig::transparent()
         };
         let (sink, recorder) = flexprot_trace::Recorder::new().shared();
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         mon.attach_sink(sink);
         let charged = mon.fill_penalty(BASE, 8);
         assert_eq!(mon.fill_penalty(BASE + 32, 8), 0);
@@ -438,7 +487,7 @@ mod tests {
             halt_on_tamper: true,
             ..SecMonConfig::transparent()
         };
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         let mut tripped = None;
         for i in 0..20u32 {
             tripped = mon.observe_commit(BASE + 4 * i, 0x0000_0000, i != 0);
@@ -462,7 +511,7 @@ mod tests {
             halt_on_tamper: true,
             ..SecMonConfig::transparent()
         };
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         for i in 0..100u32 {
             assert_eq!(mon.observe_commit(BASE + 4 * i, 0, i != 0), None);
         }
@@ -473,7 +522,7 @@ mod tests {
         let (mut config, mut stream) = guarded_stream(&[0xDDDD_0001, 0xDDDD_0002]);
         config.halt_on_tamper = false;
         stream[0].1 ^= 4;
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         assert_eq!(feed(&mut mon, &stream), None);
         assert_eq!(mon.tamper_log().len(), 1);
         assert_eq!(mon.checks_passed(), 0);
@@ -491,7 +540,7 @@ mod tests {
             regions,
             ..SecMonConfig::transparent()
         };
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         let plain = 0x2108_0001;
         let cipher = plain ^ crate::cipher::keystream(key, BASE);
         assert_eq!(mon.transform_fetch(BASE, cipher), plain);
@@ -514,7 +563,7 @@ mod tests {
             },
             ..SecMonConfig::transparent()
         };
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         assert_eq!(mon.fill_penalty(BASE, 8), 4 + 2 * 8);
         assert_eq!(mon.fill_penalty(BASE + 32, 8), 0);
     }
@@ -543,7 +592,7 @@ mod reset_point_tests {
             halt_on_tamper: true,
             ..SecMonConfig::transparent()
         };
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         // 6 protected instructions, then a call lands on the entry,
         // then 6 more: never exceeds the bound of 8.
         for i in 0..6u32 {
@@ -573,7 +622,7 @@ mod reset_point_tests {
             halt_on_tamper: true,
             ..SecMonConfig::transparent()
         };
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         // Straight-line execution through the entry must keep counting: an
         // attacker cannot launder the counter by falling through.
         let mut tripped = false;
@@ -651,7 +700,7 @@ mod tail_tests {
     #[test]
     fn tail_covered_window_passes() {
         let (config, stream) = tailed_stream(&[0x1111, 0x2222], 0x1440_FFFE);
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         assert_eq!(feed(&mut mon, &stream), None);
         assert_eq!(mon.checks_passed(), 1);
     }
@@ -662,9 +711,35 @@ mod tail_tests {
         // Flip the terminator (e.g. beq -> bne is a single-bit opcode flip).
         let last = stream.len() - 1;
         stream[last].1 ^= 1 << 26;
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         let event = feed(&mut mon, &stream).expect("terminator patch must be caught");
         assert!(event.reason.contains("signature mismatch"), "{event}");
+    }
+
+    #[test]
+    fn zero_symbol_site_fails_closed_without_underflow() {
+        // A directly built config can still name a zero-symbol site (the
+        // FPM1 parser rejects one). Reaching it must neither underflow the
+        // collection arithmetic nor leave a collection open: the check
+        // completes at once against an empty signature and trips.
+        for tail in [0, 1] {
+            let mut sites = BTreeMap::new();
+            sites.insert(BASE + 8, GuardSite { symbols: 0, tail });
+            let config = SecMonConfig {
+                guard_key: KEY,
+                sites,
+                window_starts: BTreeSet::from([BASE]),
+                halt_on_tamper: true,
+                ..SecMonConfig::transparent()
+            };
+            let mut mon = armed(config);
+            let stream: Vec<(u32, u32, bool)> =
+                (0..6).map(|i| (BASE + 4 * i, 0x1111 * i, i != 0)).collect();
+            let event = feed(&mut mon, &stream).expect("an empty signature must not verify");
+            assert!(event.reason.contains("signature mismatch"), "{event}");
+            assert_eq!(event.pc, BASE + 8, "the site word itself ends the check");
+            assert!(mon.collecting.is_none(), "no collection left open");
+        }
     }
 
     #[test]
@@ -672,7 +747,7 @@ mod tail_tests {
         let (config, stream) = tailed_stream(&[0x1111, 0x2222], 0x1440_FFFE);
         let mut cut = stream[..stream.len() - 1].to_vec();
         cut.push((BASE + 0x200, 0, false));
-        let mut mon = SecMon::new(config);
+        let mut mon = armed(config);
         let event = feed(&mut mon, &cut).expect("skipping the tail must be caught");
         assert!(event.reason.contains("interrupted"), "{event}");
     }

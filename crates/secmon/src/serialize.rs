@@ -24,6 +24,12 @@ pub enum ConfigFormatError {
     TrailingBytes,
     /// The region table violates its invariants (overlap/alignment).
     BadRegions,
+    /// A guard site declares zero signature symbols, so it could never
+    /// carry a signature.
+    EmptyGuardSite {
+        /// Address of the offending site.
+        addr: u32,
+    },
 }
 
 impl fmt::Display for ConfigFormatError {
@@ -34,6 +40,9 @@ impl fmt::Display for ConfigFormatError {
             ConfigFormatError::BadLength => f.write_str("implausible length field"),
             ConfigFormatError::TrailingBytes => f.write_str("trailing bytes after config"),
             ConfigFormatError::BadRegions => f.write_str("invalid encrypted-region table"),
+            ConfigFormatError::EmptyGuardSite { addr } => {
+                write!(f, "guard site {addr:#010x} has zero signature symbols")
+            }
         }
     }
 }
@@ -137,6 +146,9 @@ impl SecMonConfig {
             let addr = r.u32()?;
             let symbols = r.u32()?;
             let tail = r.u32()?;
+            if symbols == 0 {
+                return Err(ConfigFormatError::EmptyGuardSite { addr });
+            }
             sites.insert(addr, GuardSite { symbols, tail });
         }
         let n_ws = r.count(4)?;
@@ -288,6 +300,34 @@ mod tests {
             SecMonConfig::from_bytes(&bytes),
             Err(ConfigFormatError::TrailingBytes)
         );
+    }
+
+    #[test]
+    fn zero_symbol_site_rejected() {
+        let mut config = sample();
+        config.sites.insert(
+            0x0040_0040,
+            GuardSite {
+                symbols: 0,
+                tail: 0,
+            },
+        );
+        assert_eq!(
+            SecMonConfig::from_bytes(&config.to_bytes()),
+            Err(ConfigFormatError::EmptyGuardSite { addr: 0x0040_0040 })
+        );
+        // A zero-symbol site with a tail is just as meaningless.
+        config.sites.insert(
+            0x0040_0040,
+            GuardSite {
+                symbols: 0,
+                tail: 1,
+            },
+        );
+        assert!(matches!(
+            SecMonConfig::from_bytes(&config.to_bytes()),
+            Err(ConfigFormatError::EmptyGuardSite { .. })
+        ));
     }
 
     #[test]

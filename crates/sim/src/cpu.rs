@@ -178,7 +178,7 @@ impl<M: FetchMonitor> Machine<M> {
     /// # Panics
     ///
     /// Panics if a cache geometry in `config` is invalid.
-    pub fn with_monitor(image: &Image, config: SimConfig, monitor: M) -> Machine<M> {
+    pub fn with_monitor(image: &Image, config: SimConfig, mut monitor: M) -> Machine<M> {
         let mut regs = [0u32; 32];
         regs[Reg::SP.index() as usize] = STACK_TOP;
         regs[Reg::FP.index() as usize] = STACK_TOP;
@@ -188,6 +188,7 @@ impl<M: FetchMonitor> Machine<M> {
             config.icache.ways,
             config.icache.line_bytes,
         );
+        monitor.arm(image.text_base..image.text_end());
         Machine {
             regs,
             pc: image.entry,
@@ -228,8 +229,9 @@ impl<M: FetchMonitor> Machine<M> {
 
     /// Restores the architectural state (registers, pc, memory, caches,
     /// stats, output, sink) to match a freshly constructed machine loaded
-    /// with `image`. Shared by [`Machine::reset`] and [`Machine::rearm`],
-    /// which differ only in decoded-line handling.
+    /// with `image`, and arms the monitor with the new text segment.
+    /// Shared by [`Machine::reset`] and [`Machine::rearm`], which differ
+    /// only in decoded-line handling.
     fn restore(&mut self, image: &Image) {
         self.regs = [0; 32];
         self.regs[Reg::SP.index() as usize] = STACK_TOP;
@@ -244,6 +246,7 @@ impl<M: FetchMonitor> Machine<M> {
         self.text_base = image.text_base;
         self.text_end = image.text_end();
         self.sink = None;
+        self.monitor.arm(self.text_base..self.text_end);
     }
 
     /// Re-arms the machine to run `image` from scratch, reusing the cache
@@ -252,7 +255,8 @@ impl<M: FetchMonitor> Machine<M> {
     /// Registers, pc, caches, stats, captured output and the observability
     /// sink are all restored to their just-constructed state, so a reset
     /// machine produces byte-identical results to a fresh
-    /// [`Machine::with_monitor`] under the same config. The monitor is left
+    /// [`Machine::with_monitor`] under the same config. The monitor is
+    /// re-armed with the new text segment but its run state is left
     /// untouched — stateless monitors (e.g. [`NullMonitor`]) can be reused
     /// directly; monitors with per-run state must be re-provisioned via
     /// [`Machine::reset_with_monitor`].
@@ -788,6 +792,28 @@ loop:   addi $t0, $t0, -1
             }
             other => panic!("expected tamper, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn monitor_is_armed_with_the_text_span_on_every_run() {
+        #[derive(Debug, Default)]
+        struct ArmLog(Vec<std::ops::Range<u32>>);
+        impl FetchMonitor for ArmLog {
+            fn arm(&mut self, text: std::ops::Range<u32>) {
+                self.0.push(text);
+            }
+        }
+        let a = flexprot_asm::assemble_or_panic("main: li $v0, 10\n syscall\n");
+        let b = flexprot_asm::assemble_or_panic("main: nop\n nop\n li $v0, 10\n syscall\n");
+        let span = |image: &Image| image.text_base..image.text_end();
+        let mut machine = Machine::with_monitor(&a, SimConfig::default(), ArmLog::default());
+        assert_eq!(machine.monitor().0, vec![span(&a)]);
+        machine.reset(&b);
+        assert_eq!(machine.monitor().0, vec![span(&a), span(&b)]);
+        machine.rearm(&a, ArmLog::default());
+        assert_eq!(machine.monitor().0, vec![span(&a)]);
+        machine.reset_with_monitor(&b, ArmLog::default());
+        assert_eq!(machine.monitor().0, vec![span(&b)]);
     }
 
     #[test]

@@ -6,11 +6,14 @@ use flexprot_isa::Image;
 
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
+const PAGE_MASK: u32 = PAGE_SIZE as u32 - 1;
 
 /// Sparse memory backed by 4 KiB pages allocated on first touch.
 ///
 /// Reads from never-written locations return zero, mimicking zero-initialised
-/// RAM. All accesses are little-endian.
+/// RAM. All accesses are little-endian. An access that stays inside one
+/// page costs one page lookup; one that straddles a page boundary (or wraps
+/// past the top of the address space) falls back to byte accesses.
 ///
 /// # Example
 ///
@@ -38,13 +41,33 @@ impl Memory {
     /// Creates a memory pre-loaded with an image's text and data segments.
     pub fn load(image: &Image) -> Memory {
         let mut mem = Memory::new();
-        for (i, &word) in image.text.iter().enumerate() {
-            mem.write_u32(image.text_base + 4 * i as u32, word);
-        }
-        for (i, &byte) in image.data.iter().enumerate() {
-            mem.write_u8(image.data_base + i as u32, byte);
-        }
+        mem.load_segments(image);
         mem
+    }
+
+    fn load_segments(&mut self, image: &Image) {
+        let mut addr = image.text_base;
+        let mut bytes = [0u8; PAGE_SIZE];
+        for words in image.text.chunks(PAGE_SIZE / 4) {
+            for (dst, word) in bytes.chunks_exact_mut(4).zip(words) {
+                dst.copy_from_slice(&word.to_le_bytes());
+            }
+            let len = 4 * words.len();
+            self.write_slice(addr, &bytes[..len]);
+            addr = addr.wrapping_add(len as u32);
+        }
+        self.write_slice(image.data_base, &image.data);
+    }
+
+    /// Copies `bytes` to `addr` onward, one page lookup per page touched.
+    fn write_slice(&mut self, mut addr: u32, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let offset = (addr & PAGE_MASK) as usize;
+            let len = bytes.len().min(PAGE_SIZE - offset);
+            self.page_mut(addr)[offset..offset + len].copy_from_slice(&bytes[..len]);
+            addr = addr.wrapping_add(len as u32);
+            bytes = &bytes[len..];
+        }
     }
 
     fn page(&self, addr: u32) -> Option<&[u8; PAGE_SIZE]> {
@@ -57,45 +80,61 @@ impl Memory {
             .or_insert_with(|| Box::new([0; PAGE_SIZE]))
     }
 
+    /// Reads `N` consecutive bytes starting at `addr` (wrapping at the top
+    /// of the address space).
+    fn read<const N: usize>(&self, addr: u32) -> [u8; N] {
+        let offset = (addr & PAGE_MASK) as usize;
+        if offset + N <= PAGE_SIZE {
+            return self.page(addr).map_or([0; N], |p| {
+                p[offset..offset + N].try_into().expect("N bytes")
+            });
+        }
+        std::array::from_fn(|i| self.read_u8(addr.wrapping_add(i as u32)))
+    }
+
+    /// Writes `N` consecutive bytes starting at `addr` (wrapping at the
+    /// top of the address space).
+    fn write<const N: usize>(&mut self, addr: u32, bytes: [u8; N]) {
+        let offset = (addr & PAGE_MASK) as usize;
+        if offset + N <= PAGE_SIZE {
+            self.page_mut(addr)[offset..offset + N].copy_from_slice(&bytes);
+            return;
+        }
+        for (i, byte) in bytes.into_iter().enumerate() {
+            self.write_u8(addr.wrapping_add(i as u32), byte);
+        }
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u32) -> u8 {
         self.page(addr)
-            .map_or(0, |p| p[(addr as usize) & (PAGE_SIZE - 1)])
+            .map_or(0, |p| p[(addr & PAGE_MASK) as usize])
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u32, value: u8) {
-        self.page_mut(addr)[(addr as usize) & (PAGE_SIZE - 1)] = value;
+        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = value;
     }
 
     /// Reads a little-endian halfword. The address may be unaligned; the
     /// caller enforces alignment policy.
     pub fn read_u16(&self, addr: u32) -> u16 {
-        u16::from_le_bytes([self.read_u8(addr), self.read_u8(addr.wrapping_add(1))])
+        u16::from_le_bytes(self.read(addr))
     }
 
     /// Writes a little-endian halfword.
     pub fn write_u16(&mut self, addr: u32, value: u16) {
-        let [a, b] = value.to_le_bytes();
-        self.write_u8(addr, a);
-        self.write_u8(addr.wrapping_add(1), b);
+        self.write(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian word.
     pub fn read_u32(&self, addr: u32) -> u32 {
-        u32::from_le_bytes([
-            self.read_u8(addr),
-            self.read_u8(addr.wrapping_add(1)),
-            self.read_u8(addr.wrapping_add(2)),
-            self.read_u8(addr.wrapping_add(3)),
-        ])
+        u32::from_le_bytes(self.read(addr))
     }
 
     /// Writes a little-endian word.
     pub fn write_u32(&mut self, addr: u32, value: u32) {
-        for (i, byte) in value.to_le_bytes().into_iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u32), byte);
-        }
+        self.write(addr, value.to_le_bytes());
     }
 
     /// Reads a NUL-terminated string of at most `max_len` bytes.
@@ -118,14 +157,9 @@ impl Memory {
     /// one machine.
     pub fn reset(&mut self, image: &Image) {
         for page in self.pages.values_mut() {
-            **page = [0; PAGE_SIZE];
+            page.fill(0);
         }
-        for (i, &word) in image.text.iter().enumerate() {
-            self.write_u32(image.text_base + 4 * i as u32, word);
-        }
-        for (i, &byte) in image.data.iter().enumerate() {
-            self.write_u8(image.data_base + i as u32, byte);
-        }
+        self.load_segments(image);
     }
 
     /// Number of resident pages, for footprint diagnostics.

@@ -13,8 +13,13 @@
 //! * [`FetchMonitor::observe_commit`] — the verification view: the monitor
 //!   sees each retired instruction (post-decrypt) and may raise a tamper
 //!   event.
+//!
+//! A fourth hook, [`FetchMonitor::arm`], tells the monitor which text
+//! segment the machine is about to run, so per-word state can be compiled
+//! once per run instead of looked up per commit.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Raised by a monitor when it detects tampering; aborts simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +51,27 @@ impl fmt::Display for TamperEvent {
 /// Stateful accounting belongs in [`FetchMonitor::fill_penalty`] (timing)
 /// and [`FetchMonitor::observe_commit`] (verification), which keep their
 /// exact reference-path call discipline.
+///
+/// # The arm contract
+///
+/// [`Machine`](crate::Machine) calls [`FetchMonitor::arm`] with the text
+/// segment's byte range `[text_base, text_end)` when it is built and on
+/// every reset or rearm, before the first fetch of a run. From then until
+/// the next `arm`, every `pc` passed to
+/// [`FetchMonitor::observe_commit`] is word-aligned and inside that range:
+/// any other pc faults with [`Fault::WildPc`](crate::Fault::WildPc) before
+/// it is fetched or observed. A monitor may therefore compile per-text-word
+/// state in `arm` and index it by `(pc - text_base) / 4` on the commit
+/// path. A monitor driven by hand, outside a machine, must be armed the
+/// same way.
 pub trait FetchMonitor {
+    /// Prepares for a run over the text segment `text` (byte addresses,
+    /// half-open). Called at construction and on every reset or rearm;
+    /// see the arm contract above. The default does nothing.
+    fn arm(&mut self, text: Range<u32>) {
+        let _ = text;
+    }
+
     /// Transforms a fetched instruction word (e.g. decrypts it).
     ///
     /// Called functionally with the word as stored in memory — on every
@@ -105,6 +130,7 @@ mod tests {
     #[test]
     fn null_monitor_is_transparent() {
         let mut m = NullMonitor;
+        m.arm(0x400000..0x400010);
         assert_eq!(m.transform_fetch(0x400000, 0xABCD), 0xABCD);
         assert_eq!(m.fill_penalty(0x400000, 8), 0);
         assert_eq!(m.observe_commit(0x400000, 0, true), None);
