@@ -114,12 +114,6 @@ pub struct Access {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `log2(line_bytes)`: address bits below the set index.
-    line_shift: u32,
-    /// `sets - 1`: the set-index mask after the line shift.
-    set_mask: u32,
-    /// `log2(line_bytes * sets)`: address bits below the tag.
-    tag_shift: u32,
     ways: Vec<Way>,
     tick: u64,
 }
@@ -134,14 +128,8 @@ impl Cache {
         if let Err(msg) = config.validate() {
             panic!("invalid cache config: {msg}");
         }
-        // `validate` guarantees power-of-two line size and set count, so
-        // indexing is shifts and masks.
-        let line_shift = config.line_bytes.trailing_zeros();
         Cache {
             config,
-            line_shift,
-            set_mask: config.sets() - 1,
-            tag_shift: line_shift + config.sets().trailing_zeros(),
             ways: vec![Way::default(); (config.sets() * config.ways) as usize],
             tick: 0,
         }
@@ -153,11 +141,11 @@ impl Cache {
     }
 
     fn set_index(&self, addr: u32) -> usize {
-        ((addr >> self.line_shift) & self.set_mask) as usize
+        ((addr / self.config.line_bytes) & (self.config.sets() - 1)) as usize
     }
 
     fn tag(&self, addr: u32) -> u32 {
-        addr >> self.tag_shift
+        addr / self.config.line_bytes / self.config.sets()
     }
 
     fn line_addr(&self, addr: u32) -> u32 {
@@ -199,7 +187,7 @@ impl Cache {
             .expect("at least one way");
         let writeback = (victim.valid && victim.dirty).then(|| {
             // Reconstruct the victim's base address from its tag and set.
-            (victim.tag << self.tag_shift) | ((set as u32) << self.line_shift)
+            (victim.tag * self.config.sets() + set as u32) * self.config.line_bytes
         });
         *victim = Way {
             valid: true,

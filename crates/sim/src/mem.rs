@@ -11,9 +11,9 @@ const PAGE_MASK: u32 = PAGE_SIZE as u32 - 1;
 /// Sparse memory backed by 4 KiB pages allocated on first touch.
 ///
 /// Reads from never-written locations return zero, mimicking zero-initialised
-/// RAM. All accesses are little-endian. An access that stays inside one
-/// page costs one page lookup; one that straddles a page boundary (or wraps
-/// past the top of the address space) falls back to byte accesses.
+/// RAM. All accesses are little-endian. Halfword and word accesses go byte
+/// by byte, one page lookup per byte (wrapping at the top of the address
+/// space); loading and resetting copy each segment a page at a time.
 ///
 /// # Example
 ///
@@ -80,31 +80,6 @@ impl Memory {
             .or_insert_with(|| Box::new([0; PAGE_SIZE]))
     }
 
-    /// Reads `N` consecutive bytes starting at `addr` (wrapping at the top
-    /// of the address space).
-    fn read<const N: usize>(&self, addr: u32) -> [u8; N] {
-        let offset = (addr & PAGE_MASK) as usize;
-        if offset + N <= PAGE_SIZE {
-            return self.page(addr).map_or([0; N], |p| {
-                p[offset..offset + N].try_into().expect("N bytes")
-            });
-        }
-        std::array::from_fn(|i| self.read_u8(addr.wrapping_add(i as u32)))
-    }
-
-    /// Writes `N` consecutive bytes starting at `addr` (wrapping at the
-    /// top of the address space).
-    fn write<const N: usize>(&mut self, addr: u32, bytes: [u8; N]) {
-        let offset = (addr & PAGE_MASK) as usize;
-        if offset + N <= PAGE_SIZE {
-            self.page_mut(addr)[offset..offset + N].copy_from_slice(&bytes);
-            return;
-        }
-        for (i, byte) in bytes.into_iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u32), byte);
-        }
-    }
-
     /// Reads one byte.
     pub fn read_u8(&self, addr: u32) -> u8 {
         self.page(addr)
@@ -119,22 +94,31 @@ impl Memory {
     /// Reads a little-endian halfword. The address may be unaligned; the
     /// caller enforces alignment policy.
     pub fn read_u16(&self, addr: u32) -> u16 {
-        u16::from_le_bytes(self.read(addr))
+        u16::from_le_bytes([self.read_u8(addr), self.read_u8(addr.wrapping_add(1))])
     }
 
     /// Writes a little-endian halfword.
     pub fn write_u16(&mut self, addr: u32, value: u16) {
-        self.write(addr, value.to_le_bytes());
+        let [a, b] = value.to_le_bytes();
+        self.write_u8(addr, a);
+        self.write_u8(addr.wrapping_add(1), b);
     }
 
     /// Reads a little-endian word.
     pub fn read_u32(&self, addr: u32) -> u32 {
-        u32::from_le_bytes(self.read(addr))
+        u32::from_le_bytes([
+            self.read_u8(addr),
+            self.read_u8(addr.wrapping_add(1)),
+            self.read_u8(addr.wrapping_add(2)),
+            self.read_u8(addr.wrapping_add(3)),
+        ])
     }
 
     /// Writes a little-endian word.
     pub fn write_u32(&mut self, addr: u32, value: u32) {
-        self.write(addr, value.to_le_bytes());
+        for (i, byte) in value.to_le_bytes().into_iter().enumerate() {
+            self.write_u8(addr.wrapping_add(i as u32), byte);
+        }
     }
 
     /// Reads a NUL-terminated string of at most `max_len` bytes.
