@@ -114,7 +114,19 @@ pub fn classify(
 ) -> Agreement {
     let predicted = oracle.predicts(&protected.image, mutated);
     let report = equiv::validate(base, mutated, &protected.secmon);
-    match report.verdict {
+    agreement(predicted, &report.verdict, protected, oracle, mutated)
+}
+
+/// The agreement class of one trial, given the oracle's prediction and the
+/// validator's verdict on `mutated`.
+fn agreement(
+    predicted: bool,
+    verdict: &EquivVerdict,
+    protected: &Protected,
+    oracle: &StaticOracle,
+    mutated: &Image,
+) -> Agreement {
+    match verdict {
         EquivVerdict::Inequivalent { .. } => {
             if predicted {
                 Agreement::CaughtDamage
@@ -158,8 +170,8 @@ fn mutation_on_surface(protected: &Protected, oracle: &StaticOracle, mutated: &I
 
 /// Runs a single-word random mutation campaign: each trial flips a
 /// random bit pattern into one random text word of the protected image,
-/// classifies the result via [`classify`], and tallies the agreement
-/// classes. Deterministic for a given seed.
+/// validates the result once, classifies it as [`classify`] does, and
+/// tallies the agreement classes. Deterministic for a given seed.
 pub fn cross_check(
     base: &Image,
     protected: &Protected,
@@ -179,8 +191,8 @@ pub fn cross_check(
             mutated.text[index] = rng.next_u32();
         }
         summary.trials += 1;
-        let report = equiv::validate(base, &mutated, &protected.secmon);
-        match report.verdict {
+        let verdict = equiv::validate(base, &mutated, &protected.secmon).verdict;
+        match verdict {
             EquivVerdict::Inequivalent { .. } => summary.inequivalent += 1,
             EquivVerdict::Refused { reason } => {
                 summary.refused += 1;
@@ -192,10 +204,11 @@ pub fn cross_check(
             }
             EquivVerdict::Proven => {}
         }
-        if oracle.predicts(&protected.image, &mutated) {
+        let predicted = oracle.predicts(&protected.image, &mutated);
+        if predicted {
             summary.predicted += 1;
         }
-        match classify(base, protected, &oracle, &mutated) {
+        match agreement(predicted, &verdict, protected, &oracle, &mutated) {
             Agreement::CaughtDamage => summary.caught_damage += 1,
             Agreement::KnownGap => summary.known_gaps += 1,
             Agreement::Unexplained => summary.unexplained += 1,

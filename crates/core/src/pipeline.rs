@@ -348,49 +348,44 @@ pub fn protect_traced(
         report,
     };
 
+    // Every post-condition reads one fact base: the shipped text is
+    // decrypted, its flow recovered and its memory domain solved once.
+    let facts = flexprot_verify::Facts::new(&protected.image, &protected.secmon);
+    let policy = flexprot_verify::LintPolicy::default();
+    let findings = facts
+        .analyze(&policy, config.key_flow_check)
+        .report
+        .findings;
+    let (key_flow, self_check): (Vec<_>, Vec<_>) = findings
+        .iter()
+        .filter(|f| f.severity == flexprot_verify::Severity::Error)
+        .partition(|f| f.id.starts_with("FP9"));
+
     // N-version self-check: the independent verifier must be able to prove
     // every invariant this pipeline claims to have established. Refusing to
     // ship an unprovable image turns silent rewriting bugs into build
-    // failures.
-    let verdict = flexprot_verify::verify(&protected.image, &protected.secmon);
-    if !verdict.is_clean() {
-        let errors = verdict.count(flexprot_verify::Severity::Error);
-        let first = verdict
-            .findings
-            .iter()
-            .find(|f| f.severity == flexprot_verify::Severity::Error)
-            .map(|f| f.to_string())
-            .unwrap_or_default();
-        return Err(ProtectError::VerificationFailed { errors, first });
+    // failures. The key-flow findings (FP9xx) are not part of it.
+    if let Some(first) = self_check.first() {
+        return Err(ProtectError::VerificationFailed {
+            errors: self_check.len(),
+            first: first.to_string(),
+        });
     }
 
     // Optional key-flow post-condition: forward taint from the cipher-key
     // material (every in-region ciphertext read) must not reach an
     // observable sink. A leak here means the protected program itself
     // re-publishes what the encryption layer was meant to hide.
-    if config.key_flow_check {
-        let v = flexprot_verify::analyze_with_options(
-            &protected.image,
-            &protected.secmon,
-            &flexprot_verify::LintPolicy::default(),
-            true,
-        );
-        let leaks: Vec<&flexprot_verify::Finding> = v
-            .report
-            .findings
-            .iter()
-            .filter(|f| {
-                f.severity == flexprot_verify::Severity::Error
-                    && (f.id == "FP901" || f.id == "FP902")
-            })
-            .collect();
-        if let Some(first) = leaks.first() {
-            return Err(ProtectError::KeyFlowLeak {
-                errors: leaks.len(),
-                witness: first.addr,
-                first: first.to_string(),
-            });
-        }
+    let leaks: Vec<_> = key_flow
+        .into_iter()
+        .filter(|f| f.id == "FP901" || f.id == "FP902")
+        .collect();
+    if let Some(first) = leaks.first() {
+        return Err(ProtectError::KeyFlowLeak {
+            errors: leaks.len(),
+            witness: first.addr,
+            first: first.to_string(),
+        });
     }
 
     // Optional stronger self-check: translation validation proves the
@@ -398,7 +393,7 @@ pub fn protect_traced(
     // ciphertext round-trips to the baseline stream), not merely that the
     // shipped image satisfies the protection invariants.
     if config.validate_translation {
-        let equiv = protected.validate_against(image);
+        let equiv = facts.validate(image, &policy);
         match equiv.verdict {
             flexprot_verify::EquivVerdict::Proven => {}
             flexprot_verify::EquivVerdict::Inequivalent { witness_addr } => {

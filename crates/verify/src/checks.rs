@@ -21,28 +21,18 @@ use flexprot_isa::{Image, Inst, RelocKind};
 use flexprot_secmon::guard::{
     decode_guard_symbol, is_guard_form, signature_from_symbols, WindowHasher,
 };
-use flexprot_secmon::SecMonConfig;
 
 use crate::coverage::GuardWindow;
 use crate::diag::{self, Severity};
-use crate::flow::{EdgeKind, Flow};
-use crate::Sink;
+use crate::flow::EdgeKind;
+use crate::{Facts, Sink};
 
 /// Bulk lints (undecodable words, wild targets) report at most this many
 /// individual findings before summarising the rest.
 const MAX_PER_LINT: usize = 8;
 
-/// Everything the checks share: the image, the provisioned configuration,
-/// the decrypted text and the recovered flow graph.
-pub(crate) struct Ctx<'a> {
-    pub image: &'a Image,
-    pub config: &'a SecMonConfig,
-    /// Text after undoing the region table — what the core executes.
-    pub text: Vec<u32>,
-    pub flow: Flow,
-}
-
-impl Ctx<'_> {
+// Address helpers the checks use on the shared facts.
+impl Facts<'_> {
     fn addr_of(&self, index: usize) -> u32 {
         self.image.text_base + 4 * index as u32
     }
@@ -57,7 +47,7 @@ impl Ctx<'_> {
 }
 
 /// Entry point, decodability of reachable text, wild targets, dead text.
-pub(crate) fn check_flow(ctx: &Ctx, sink: &mut Sink) {
+pub(crate) fn check_flow(ctx: &Facts, sink: &mut Sink) {
     if ctx.index_of(ctx.image.entry).is_none() {
         sink.emit(
             &diag::BAD_ENTRY,
@@ -142,7 +132,7 @@ pub(crate) fn check_flow(ctx: &Ctx, sink: &mut Sink) {
 /// recomputed, plus one [`GuardWindow`] record per site whose window
 /// resolved to word indices (sound only when every check passed) — the
 /// raw material of the coverage analysis.
-pub(crate) fn check_guards(ctx: &Ctx, sink: &mut Sink) -> (usize, Vec<GuardWindow>) {
+pub(crate) fn check_guards(ctx: &Facts, sink: &mut Sink) -> (usize, Vec<GuardWindow>) {
     let config = ctx.config;
     let len = ctx.text.len();
     let mut checked = 0usize;
@@ -295,7 +285,7 @@ pub(crate) fn check_guards(ctx: &Ctx, sink: &mut Sink) -> (usize, Vec<GuardWindo
 /// check are outright coverage gaps, words dominated by a check are
 /// editable only *after* it fires (a residual edit window).
 pub(crate) fn check_coverage(
-    ctx: &Ctx,
+    ctx: &Facts,
     coverage: &crate::coverage::Coverage,
     live: &crate::liveness::Liveness,
     sink: &mut Sink,
@@ -511,7 +501,7 @@ pub(crate) fn check_network(
 /// [`diag::UNRESET_CALL_RETURN`] flagging any continuation the
 /// configuration fails to register. Returns the bounded maximum, when one
 /// exists.
-pub(crate) fn check_spacing(ctx: &Ctx, sink: &mut Sink) -> Option<u64> {
+pub(crate) fn check_spacing(ctx: &Facts, sink: &mut Sink) -> Option<u64> {
     let config = ctx.config;
     if !config.sites.is_empty() && config.spacing_bound.is_none() {
         sink.emit(
@@ -662,7 +652,7 @@ pub(crate) fn check_spacing(ctx: &Ctx, sink: &mut Sink) -> Option<u64> {
 /// Relocation integrity: every entry must agree with the instruction field
 /// it describes, and targets must land where their kind requires.
 /// Returns the number of in-bounds entries checked.
-pub(crate) fn check_relocs(ctx: &Ctx, sink: &mut Sink) -> usize {
+pub(crate) fn check_relocs(ctx: &Facts, sink: &mut Sink) -> usize {
     let len = ctx.text.len();
     let mut checked = 0usize;
     let mut relocated: BTreeSet<usize> = BTreeSet::new();
@@ -773,7 +763,7 @@ fn addr_in_image(image: &Image, target: u32) -> bool {
 
 /// Encryption-region checks: well-formedness, non-overlap, containment in
 /// text, and coverage of the protected ranges.
-pub(crate) fn check_regions(ctx: &Ctx, sink: &mut Sink) {
+pub(crate) fn check_regions(ctx: &Facts, sink: &mut Sink) {
     let image = ctx.image;
     let regions = ctx.config.regions.regions();
     for r in regions {

@@ -63,7 +63,7 @@ use crate::diag::{self, json_escape, Finding, LintPolicy, Severity};
 use crate::flow::Flow;
 use crate::liveness::{self, Liveness};
 use crate::memdom::{self, MemFact};
-use crate::{decrypt_text, Sink};
+use crate::{Facts, Sink};
 
 /// Cap on findings emitted per lint before summarising, mirroring
 /// `checks::MAX_PER_LINT`.
@@ -335,12 +335,18 @@ pub fn validate_with_policy(
     config: &SecMonConfig,
     policy: &LintPolicy,
 ) -> EquivReport {
+    Facts::new(protected, config).validate(base, policy)
+}
+
+/// [`validate_with_policy`] over the protected image's shared facts.
+pub(crate) fn validate_facts(base: &Image, facts: &Facts, policy: &LintPolicy) -> EquivReport {
+    let (protected, config, text) = (facts.image, facts.config, &facts.text);
+    let (flow, mem) = (&facts.flow, &facts.mem);
     let mut sink = Sink {
         policy,
         findings: Vec::new(),
     };
     let mut refusals: Vec<(u32, RefusalReason)> = Vec::new();
-    let text = decrypt_text(protected, config);
     let mut stats = EquivStats {
         base_words: base.text.len(),
         prot_words: text.len(),
@@ -490,7 +496,6 @@ pub fn validate_with_policy(
     }
 
     // --- Obligation 2: guard-window transparency on the protected flow. ---
-    let flow = Flow::recover(protected, &text);
     // Liveness runs on a sanitized flow: inert guard-form words *read*
     // the registers their operand fields spell, but the result lands in
     // `$zero`, so those reads must not keep registers alive — otherwise
@@ -504,7 +509,6 @@ pub fn validate_with_policy(
         }
     }
     let live = liveness::analyze(&sanitized);
-    let mem = memdom::analyze_memory(protected, &flow);
     let mut windows: Vec<WindowEquiv> = Vec::new();
     for (&site_addr, site) in &config.sites {
         let symbols = site.symbols as usize;
@@ -523,7 +527,7 @@ pub fn validate_with_policy(
                 continue; // never fetched: vacuously transparent
             }
             let addr_g = protected.addr_of_index(g);
-            match judge_guard_word(g, protected, &text, &flow, &live, &mem) {
+            match judge_guard_word(g, protected, text, flow, &live, mem) {
                 WordJudgement::Transparent => {}
                 WordJudgement::Clobber(detail) => {
                     sink.emit(&diag::EQUIV_GUARD_CLOBBER, Some(addr_g), detail);

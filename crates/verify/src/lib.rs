@@ -25,6 +25,12 @@
 //! [`SurfaceMap`] — the ranked list of text words no guard window or
 //! cipher region covers, i.e. the static tamper surface.
 //!
+//! Every analysis of one image starts from one [`Facts`] value (decrypted
+//! text, recovered flow, memory-domain states). [`analyze_with_options`]
+//! and [`equiv::validate_with_policy`] each build one; a caller asking
+//! both questions of one image builds it once and asks [`Facts::analyze`]
+//! and [`Facts::validate`].
+//!
 //! ```
 //! use flexprot_verify::{verify, Severity};
 //! # use flexprot_secmon::SecMonConfig;
@@ -159,66 +165,114 @@ pub fn analyze_with_options(
     policy: &LintPolicy,
     taint: bool,
 ) -> Verification {
-    let text = decrypt_text(image, config);
-    let flow = Flow::recover(image, &text);
-    let ctx = checks::Ctx {
-        image,
-        config,
-        text,
-        flow,
-    };
-    let mut sink = Sink {
-        policy,
-        findings: Vec::new(),
-    };
-    checks::check_flow(&ctx, &mut sink);
-    let (sites_checked, windows) = checks::check_guards(&ctx, &mut sink);
-    let max_spacing = checks::check_spacing(&ctx, &mut sink);
-    let relocs_checked = checks::check_relocs(&ctx, &mut sink);
-    checks::check_regions(&ctx, &mut sink);
+    Facts::new(image, config).analyze(policy, taint)
+}
 
-    let cfg = Cfg::build(image, &ctx.flow);
-    let doms = cfg
-        .entry
-        .map(|entry| domtree::dominators(entry, &cfg.succs));
-    let live = liveness::analyze(&ctx.flow);
-    let cov = coverage::analyze(&ctx.flow, &cfg, doms.as_ref(), windows);
-    checks::check_coverage(&ctx, &cov, &live, &mut sink);
-    let surface = coverage::surface_map(image, config, &ctx.flow, &cfg, &cov);
+/// The facts every analysis of one image starts from, computed once: the
+/// decrypted text, the recovered flow graph and the memory-sensitive
+/// value-set states. [`analyze_with_options`] and
+/// [`equiv::validate_with_policy`] are projections of one `Facts`; a caller
+/// that needs both (protect()'s post-conditions) builds it once and asks
+/// each question of the same value. The fields stay private: they hold
+/// only as facts of the one image and configuration they were built from.
+pub struct Facts<'a> {
+    /// The image under analysis.
+    pub(crate) image: &'a Image,
+    /// The monitor configuration it will be provisioned with.
+    pub(crate) config: &'a SecMonConfig,
+    /// Text after undoing the region table — what the core executes.
+    pub(crate) text: Vec<u32>,
+    /// Control flow recovered from `text`.
+    pub(crate) flow: Flow,
+    /// [`memdom::analyze_memory`] states entering each text word.
+    pub(crate) mem: Vec<memdom::MemFact>,
+}
 
-    // Abstract interpretation: the memory-sensitive value-set analysis
-    // (pointer provenance + tracked stack frame) feeds the per-guard
-    // checksum proofs; the window list feeds the guard network.
-    let mem = memdom::analyze_memory(image, &ctx.flow);
-    let proofs = absint::prove_guards(image, config, &ctx.text, &ctx.flow, &mem, &cov.windows);
-    let net = guardnet::build(&cov.windows);
-    checks::check_network(&net, &proofs, &mut sink);
-    let taint_stats = taint.then(|| taint::check_taint(image, config, &ctx.flow, &mem, &mut sink));
+impl<'a> Facts<'a> {
+    /// Decrypts, recovers flow and solves the memory domain for `image`.
+    pub fn new(image: &'a Image, config: &'a SecMonConfig) -> Facts<'a> {
+        let text = decrypt_text(image, config);
+        let flow = Flow::recover(image, &text);
+        let mem = memdom::analyze_memory(image, &flow);
+        Facts {
+            image,
+            config,
+            text,
+            flow,
+            mem,
+        }
+    }
 
-    let report = Report {
-        stats: VerifyStats {
-            text_words: ctx.text.len(),
-            reachable_words: ctx.flow.reachable_count(),
-            sites_checked,
-            relocs_checked,
-            max_spacing,
-            sound_windows: surface.sound_windows,
-            covered_words: surface.covered_words(),
-            surface_words: surface.surface_words(),
-            guard_edges: net.edges,
-            proven_constants: proofs
-                .iter()
-                .filter(|p| matches!(p.verdict, absint::Verdict::Proven { .. }))
-                .count(),
-            taint: taint_stats,
-        },
-        findings: sink.findings,
-    };
-    Verification {
-        report,
-        surface,
-        coverage: cov,
-        guardnet: net,
-        proofs,
+    /// Runs every verification analysis over these facts (see
+    /// [`analyze_with_options`]).
+    pub fn analyze(&self, policy: &LintPolicy, taint: bool) -> Verification {
+        let (image, config) = (self.image, self.config);
+        let mut sink = Sink {
+            policy,
+            findings: Vec::new(),
+        };
+        checks::check_flow(self, &mut sink);
+        let (sites_checked, windows) = checks::check_guards(self, &mut sink);
+        let max_spacing = checks::check_spacing(self, &mut sink);
+        let relocs_checked = checks::check_relocs(self, &mut sink);
+        checks::check_regions(self, &mut sink);
+
+        let cfg = Cfg::build(image, &self.flow);
+        let doms = cfg
+            .entry
+            .map(|entry| domtree::dominators(entry, &cfg.succs));
+        let live = liveness::analyze(&self.flow);
+        let cov = coverage::analyze(&self.flow, &cfg, doms.as_ref(), windows);
+        checks::check_coverage(self, &cov, &live, &mut sink);
+        let surface = coverage::surface_map(image, config, &self.flow, &cfg, &cov);
+
+        // Abstract interpretation: the memory-sensitive value-set facts
+        // (pointer provenance + tracked stack frame) feed the per-guard
+        // checksum proofs; the window list feeds the guard network.
+        let proofs = absint::prove_guards(
+            image,
+            config,
+            &self.text,
+            &self.flow,
+            &self.mem,
+            &cov.windows,
+        );
+        let net = guardnet::build(&cov.windows);
+        checks::check_network(&net, &proofs, &mut sink);
+        let taint_stats =
+            taint.then(|| taint::check_taint(image, config, &self.flow, &self.mem, &mut sink));
+
+        let report = Report {
+            stats: VerifyStats {
+                text_words: self.text.len(),
+                reachable_words: self.flow.reachable_count(),
+                sites_checked,
+                relocs_checked,
+                max_spacing,
+                sound_windows: surface.sound_windows,
+                covered_words: surface.covered_words(),
+                surface_words: surface.surface_words(),
+                guard_edges: net.edges,
+                proven_constants: proofs
+                    .iter()
+                    .filter(|p| matches!(p.verdict, absint::Verdict::Proven { .. }))
+                    .count(),
+                taint: taint_stats,
+            },
+            findings: sink.findings,
+        };
+        Verification {
+            report,
+            surface,
+            coverage: cov,
+            guardnet: net,
+            proofs,
+        }
+    }
+
+    /// Translation-validates these facts, as the protected side, against
+    /// `base` (see [`equiv::validate_with_policy`]).
+    pub fn validate(&self, base: &Image, policy: &LintPolicy) -> EquivReport {
+        equiv::validate_facts(base, self, policy)
     }
 }

@@ -221,16 +221,16 @@ fn root_state(exact_seed: bool) -> MemState {
 }
 
 /// Registers a callee may clobber (assumption A2): everything except
-/// `$zero`, `$sp`, `$fp`, `$gp`, `$s0..$s7` and `$k0`/`$k1`.
-fn caller_saved(reg: usize) -> bool {
-    let r = Reg::from_bits(reg as u32);
+/// `$zero`, `$sp`, `$fp`, `$gp`, `$s0..$s7` and `$k0`/`$k1`. The key-flow
+/// analysis ([`crate::taint`]) clears taint on the same set at calls.
+pub(crate) fn caller_saved(r: Reg) -> bool {
     !(r == Reg::ZERO
         || r == Reg::SP
         || r == Reg::FP
         || r == Reg::GP
         || r == Reg::K0
         || r == Reg::K1
-        || (Reg::S0.index()..=Reg::S7.index()).contains(&(reg as u8)))
+        || (Reg::S0.index()..=Reg::S7.index()).contains(&r.index()))
 }
 
 /// Byte span a store of `size` bytes at slot offset `k` can touch,
@@ -295,7 +295,7 @@ fn apply_call(state: &mut MemState) {
         _ => state.slots.clear(),
     }
     for (i, r) in state.regs.iter_mut().enumerate() {
-        if caller_saved(i) {
+        if caller_saved(Reg::from_bits(i as u32)) {
             *r = MemVal::top();
         }
     }
@@ -516,6 +516,16 @@ mod tests {
         (flow, states)
     }
 
+    /// [`states_of`] with every root symbol but `main` stripped: every
+    /// label is exported as a symbol, and symbols are analysis roots.
+    fn main_rooted_states(src: &str) -> (Flow, Vec<MemFact>) {
+        let mut image = flexprot_asm::assemble_or_panic(src);
+        image.symbols.retain(|name, _| name.as_str() == "main");
+        let flow = Flow::recover(&image, &image.text.clone());
+        let states = analyze_memory(&image, &flow);
+        (flow, states)
+    }
+
     /// Node index just past the `n`th load of `rt` (the first point where
     /// the loaded value is observable in an *entering* state).
     fn after_load(flow: &Flow, rt: Reg, n: usize) -> usize {
@@ -576,16 +586,10 @@ mod tests {
 
     #[test]
     fn join_intersects_frame_slots() {
-        let (flow, states) = {
-            let mut image = flexprot_asm::assemble_or_panic(
-                "main: addi $sp, $sp, -16\n beq $a0, $zero, other\n sw $zero, 8($sp)\n \
-                 j done\n other: nop\n done: lw $t0, 8($sp)\n li $v0, 10\n syscall\n",
-            );
-            image.symbols.retain(|name, _| name.as_str() == "main");
-            let flow = Flow::recover(&image, &image.text.clone());
-            let states = analyze_memory(&image, &flow);
-            (flow, states)
-        };
+        let (flow, states) = main_rooted_states(
+            "main: addi $sp, $sp, -16\n beq $a0, $zero, other\n sw $zero, 8($sp)\n \
+             j done\n other: nop\n done: lw $t0, 8($sp)\n li $v0, 10\n syscall\n",
+        );
         // Only one arm wrote the slot, so after the join it is unknown.
         let at = after_load(&flow, Reg::T0, 0);
         assert_eq!(reg(&states, at, Reg::T0), MemVal::top());
@@ -636,5 +640,39 @@ mod tests {
             states_of("main: add $t0, $sp, $fp\n sll $t1, $sp, 2\n li $v0, 10\n syscall\n");
         assert_eq!(reg(&states, 1, Reg::T0), MemVal::top());
         assert_eq!(reg(&states, 2, Reg::T1), MemVal::top());
+    }
+
+    #[test]
+    fn straight_line_constants_propagate() {
+        let (_flow, states) =
+            states_of("main: li $t0, 5\n addi $t1, $t0, 3\n li $v0, 10\n syscall\n");
+        // State entering the syscall: $t0 = 5, $t1 = 8, $zero = 0.
+        assert_eq!(reg(&states, 3, Reg::T0), MemVal::abs(AbsVal::Const(5)));
+        assert_eq!(reg(&states, 3, Reg::T1), MemVal::abs(AbsVal::Const(8)));
+        assert_eq!(reg(&states, 3, Reg::ZERO), MemVal::abs(AbsVal::Const(0)));
+    }
+
+    #[test]
+    fn join_over_branches_builds_value_sets() {
+        let (_flow, states) = main_rooted_states(
+            "main: beq $a0, $zero, other\n li $t0, 1\n j done\n\
+             other: li $t0, 2\n done: li $v0, 10\n syscall\n",
+        );
+        assert_eq!(
+            reg(&states, states.len() - 2, Reg::T0),
+            MemVal::abs(AbsVal::Set(vec![1, 2])),
+            "both arms' constants survive the join"
+        );
+    }
+
+    #[test]
+    fn unreachable_words_have_no_state() {
+        // The word after the backward jump is unreachable once its label
+        // stops being a root symbol.
+        let src = "main: li $v0, 10\n syscall\n j main\n dead: li $t0, 1\n";
+        let (_flow, states) = states_of(src);
+        assert!(states[3].is_some(), "symbol-seeded word has a state");
+        let (_flow, stripped) = main_rooted_states(src);
+        assert!(stripped[3].is_none(), "unreachable word has none");
     }
 }

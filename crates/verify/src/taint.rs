@@ -48,7 +48,7 @@ use crate::absint::AbsVal;
 use crate::dataflow::{self, Analysis, Direction};
 use crate::diag;
 use crate::flow::Flow;
-use crate::memdom::{Base, MemFact, MemState, MemVal};
+use crate::memdom::{caller_saved, Base, MemFact, MemState, MemVal};
 use crate::Sink;
 
 /// Cap on findings emitted per FP9xx lint before summarising.
@@ -191,19 +191,6 @@ fn store_taint(taint: &mut TaintState, target: &MemVal, size: u32, value_tainted
     }
 }
 
-/// Registers a callee may clobber; taint on them is cleared at calls
-/// (return-value flow is not modelled — a documented approximation).
-fn caller_saved(reg: u8) -> bool {
-    let r = Reg::from_bits(reg as u32);
-    !(r == Reg::ZERO
-        || r == Reg::SP
-        || r == Reg::FP
-        || r == Reg::GP
-        || r == Reg::K0
-        || r == Reg::K1
-        || (Reg::S0.index()..=Reg::S7.index()).contains(&reg))
-}
-
 /// The forward key-flow analysis, one node per text word, reading the
 /// memory-sensitive points-to facts for address resolution.
 struct TaintAbs<'a> {
@@ -231,9 +218,11 @@ impl TaintAbs<'_> {
         }
         match inst {
             Inst::Jal { .. } | Inst::Jalr { .. } => {
-                for r in 0..32u8 {
+                // Return-value flow is not modelled (a documented
+                // approximation): the callee may clobber these registers.
+                for r in (0..32).map(Reg::from_bits) {
                     if caller_saved(r) {
-                        taint.set(Reg::from_bits(r as u32), false);
+                        taint.set(r, false);
                     }
                 }
             }
